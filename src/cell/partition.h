@@ -77,8 +77,8 @@ class CellPartition {
 
   /// Per-type column sums of `capacity` restricted to the cell's rows — the
   /// cell's total capacity, used for over-capacity classification when a
-  /// window plans inside the cell.  `int` to match CloudSnapshot's
-  /// capacity_col_sums and placement::plan_laddered.  O(cell size x types).
+  /// window plans inside the cell.  `int` to match placement::plan_laddered.
+  /// O(cell size x types).
   std::vector<int> cell_capacity_col_sums(std::size_t c,
                                           const util::IntMatrix& capacity) const;
 

@@ -78,9 +78,10 @@ struct LadderPlan {
 /// identical rung sequence to Provisioner::submit_laddered (shape -> empty
 /// -> over-capacity -> budgeted exact ILP -> heuristic -> best-effort
 /// partial) but reads only the arguments and mutates nothing, so the
-/// snapshot-isolated serving path can evaluate it against an immutable
-/// CloudSnapshot and commit the plan later.  `capacity_col_sums[j]` must be
-/// sum_i M_ij (including drained/failed nodes) — the admit() kReject test.
+/// placement service can plan against a working capacity view (a cell's
+/// rows, or the whole cloud) and grant the plan itself.
+/// `capacity_col_sums[j]` must be sum_i M_ij (including drained/failed
+/// nodes) — the admit() kReject test.
 /// Provisioner::submit_laddered routes through this function, so the two
 /// can never diverge.
 LadderPlan plan_laddered(const cluster::Request& r,

@@ -8,7 +8,6 @@
 
 #include "cell/partition.h"
 #include "obs/trace.h"
-#include "placement/provisioner.h"
 
 namespace vcopt::service {
 
@@ -34,8 +33,7 @@ ReplayResult replay_journal(const std::vector<JournalRecord>& records,
                             cluster::Cloud& cloud,
                             const ServiceOptions& options) {
   VCOPT_TRACE_SPAN("service/replay");
-  placement::Provisioner prov(cloud, placement::make_policy(options.policy),
-                              options.discipline);
+  const std::vector<int> cap_sums = detail::capacity_sums(cloud);
   // Cell-mode journals: rebuild the partition the live service used (a pure
   // function of topology + options) so each window record re-plans inside
   // the cell it names.  No directory/router is needed — routing decisions
@@ -79,7 +77,7 @@ ReplayResult replay_journal(const std::vector<JournalRecord>& records,
         ctx.capacity_col_sums = &cell_cap_sums;
         ctx.cell = rec.cell;
         std::vector<Outcome> outcomes = detail::decide_window(
-            prov, cloud, shed, members, rec.window_id, rec.time, options,
+            cloud, shed, members, rec.window_id, rec.time, options, cap_sums,
             partition ? &ctx : nullptr);
         ++result.windows;
         for (Outcome& o : outcomes) {

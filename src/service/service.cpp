@@ -43,14 +43,6 @@ struct ServiceMetrics {
   obs::HistogramMetric& stage_batch;
   obs::HistogramMetric& stage_solve;
   obs::HistogramMetric& stage_commit;
-  // Snapshot lifecycle of the pipelined serving path: snapshots built and
-  // published, plans served from a published snapshot without rebuilding,
-  // stale-epoch commits that had to re-plan, and the age (service-clock
-  // seconds) of the snapshot each plan read.
-  obs::Counter& snapshot_builds;
-  obs::Counter& snapshot_reuses;
-  obs::Counter& snapshot_conflicts;
-  obs::Gauge& snapshot_age;
 
   static ServiceMetrics& get() {
     auto& reg = obs::MetricsRegistry::global();
@@ -74,10 +66,6 @@ struct ServiceMetrics {
         reg.histogram("service/stage/batch", stage_buckets),
         reg.histogram("service/stage/solve", stage_buckets),
         reg.histogram("service/stage/commit", stage_buckets),
-        reg.counter("service/snapshot_builds"),
-        reg.counter("service/snapshot_reuses"),
-        reg.counter("service/snapshot_conflicts"),
-        reg.gauge("service/snapshot_age"),
     };
     return m;
   }
@@ -115,7 +103,7 @@ OutcomeKind kind_from_status(placement::PlacementStatus s) {
       return OutcomeKind::kRejectedOverCapacity;
     case PlacementStatus::kAbandoned: return OutcomeKind::kAbandoned;
     default:
-      // kQueued/kRepaired/kRejectedShape cannot come out of submit_laddered
+      // kQueued/kRepaired/kRejectedShape cannot come out of plan_laddered
       // on a shape-checked request; treat defensively as abandoned.
       VCOPT_DCHECK(false) << "unexpected ladder status "
                           << placement::to_string(s);
@@ -209,62 +197,74 @@ std::vector<std::size_t> pick_window(const std::vector<PendingEntry>& pending,
   return order;
 }
 
-WindowPlan plan_window(const cluster::CloudSnapshot& snap,
-                       const std::vector<PendingEntry>& shed,
-                       const std::vector<PendingEntry>& members,
-                       std::uint64_t window_id, double decide_time,
-                       const ServiceOptions& options,
-                       const CellPlanContext* cell_ctx) {
-  VCOPT_TRACE_SPAN("service/plan_window");
-  WindowPlan plan;
-  plan.window_id = window_id;
-  plan.decide_time = decide_time;
-  plan.base_epoch = snap.epoch;
-  plan.outcomes.reserve(shed.size() + members.size());
+std::vector<int> capacity_sums(const cluster::Cloud& cloud) {
+  const util::IntMatrix& max = cloud.inventory().max_capacity();
+  std::vector<int> sums(cloud.type_count());
+  for (std::size_t j = 0; j < sums.size(); ++j) sums[j] = max.col_sum(j);
+  return sums;
+}
+
+std::vector<Outcome> decide_window(cluster::Cloud& cloud,
+                                   const std::vector<PendingEntry>& shed,
+                                   const std::vector<PendingEntry>& members,
+                                   std::uint64_t window_id, double decide_time,
+                                   const ServiceOptions& options,
+                                   const std::vector<int>& capacity_col_sums,
+                                   const CellPlanContext* cell_ctx) {
+  VCOPT_TRACE_SPAN("service/decide_window");
+  std::vector<Outcome> outcomes;
+  outcomes.reserve(shed.size() + members.size());
   for (const PendingEntry& e : shed) {
     VCOPT_DCHECK(e.options.deadline <= decide_time)
         << "shed entry seq " << e.seq << " has live deadline";
-    plan.outcomes.push_back(shed_outcome(e, window_id, decide_time));
+    outcomes.push_back(shed_outcome(e, window_id, decide_time));
   }
-  if (members.empty()) return plan;
-
-  // Working capacity view, debited as grants are planned: each member sees
-  // exactly what the serial path's cloud.remaining() would have shown it.
-  util::IntMatrix avail = snap.remaining;
-  const cluster::Topology& topology = *snap.topology;
+  if (members.empty()) return outcomes;
+#if VCOPT_ENABLE_CHECKS
+  const util::IntMatrix before = cloud.remaining();
+#endif
 
   // Cell-scoped planning (docs/cells.md): when the window was routed to a
-  // cell, every solve below runs on the cell's row-slice of the working view
-  // against the cell's sub-topology (intra-cell distances equal the global
-  // ones, so DC needs no correction) and scatters its allocation back to
-  // global node ids.  The slice is re-taken from `avail` before each solve
-  // so earlier grants in the window are reflected.
+  // cell, every solve below runs on the cell's rows of the remaining
+  // capacity against the cell's sub-topology (intra-cell distances equal the
+  // global ones, so DC needs no correction) and scatters its allocation back
+  // to global node ids.  A flat window plans on the whole matrix.  Either
+  // way `avail` is a working copy debited as each grant lands, so every
+  // solve sees exactly the capacity the cloud has at that point.
   const bool in_cell = cell_ctx != nullptr && cell_ctx->partition != nullptr &&
                        cell_ctx->cell != kNoCell;
   const cell::CellPartition* part = in_cell ? cell_ctx->partition : nullptr;
   const std::size_t cell_id = in_cell ? cell_ctx->cell : 0;
-  const auto slice_cell = [&](const util::IntMatrix& src) {
+  const auto slice_cell = [&] {
     const cell::Cell& cl = part->cell(cell_id);
-    util::IntMatrix local(cl.nodes.size(), src.cols());
+    util::IntMatrix local(cl.nodes.size(), cloud.type_count());
     for (std::size_t i = 0; i < cl.nodes.size(); ++i) {
-      for (std::size_t j = 0; j < src.cols(); ++j) {
-        local(i, j) = src(cl.nodes[i], j);
+      for (std::size_t j = 0; j < local.cols(); ++j) {
+        local(i, j) = cloud.remaining_at(cl.nodes[i], j);
       }
     }
     return local;
   };
-  const auto to_global = [&](placement::Placement& pl) {
-    pl.allocation = cluster::Allocation(
-        part->to_global(cell_id, pl.allocation.counts(), avail.rows()));
-    pl.central = part->cell(cell_id).nodes[pl.central];
+  util::IntMatrix avail = in_cell ? slice_cell() : cloud.remaining();
+  const cluster::Topology& topology =
+      in_cell ? part->cell_topology(cell_id) : cloud.topology();
+  const std::vector<int>& col_sums =
+      in_cell ? cell_ctx->capacity_col_sums->at(cell_id) : capacity_col_sums;
+  // Debits a placement planned on `avail` and grants it on the cloud.
+  const auto land = [&](const cluster::Request& effective,
+                        placement::Placement& pl) {
+    avail -= pl.allocation.counts();
+    if (in_cell) {
+      pl.allocation = cluster::Allocation(part->to_global(
+          cell_id, pl.allocation.counts(), cloud.node_count()));
+      pl.central = part->cell(cell_id).nodes[pl.central];
+    }
+    return cloud.grant(effective, pl.allocation);
   };
 
   // Batch step (Algorithm 2) for windows of size > 1: every non-empty member
   // goes into place_batch; the per-request ladder picks up whatever the batch
   // step could not admit (and classifies empty/over-capacity requests).
-  // Grants are recorded batch-admissions-first, then ladder grants in member
-  // order — the exact Cloud::grant order of serial dispatch, so commit
-  // assigns identical lease ids.
   std::vector<std::optional<Outcome>> slot(members.size());
   if (members.size() > 1) {
     std::vector<std::size_t> batch_pos;
@@ -277,26 +277,19 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
       batch.push_back(members[i].request);
     }
     placement::GlobalSubOpt gso;
-    placement::BatchPlacement placed;
-    if (in_cell) {
-      const util::IntMatrix local = slice_cell(avail);
-      placed = gso.place_batch(batch, local, part->cell_topology(cell_id));
-      for (placement::Placement& pl : placed.placements) to_global(pl);
-    } else {
-      placed = gso.place_batch(batch, avail, topology);
-    }
+    placement::BatchPlacement placed = gso.place_batch(batch, avail, topology);
     for (std::size_t k = 0; k < placed.admitted.size(); ++k) {
       const std::size_t i = batch_pos[placed.admitted[k]];
-      const placement::Placement& pl = placed.placements[k];
+      placement::Placement& pl = placed.placements[k];
       VCOPT_VALIDATE(check::validate_allocation(
           pl.allocation.counts(), members[i].request.counts(), avail));
-      avail -= pl.allocation.counts();
       Outcome o;
       o.seq = members[i].seq;
       o.request_id = members[i].request.id();
       o.window_id = window_id;
       o.trace_id = members[i].trace_id;
       o.kind = OutcomeKind::kGranted;
+      o.lease = land(members[i].request, pl);
       o.central = pl.central;
       o.distance = pl.distance;
       o.requested_vms = members[i].request.total_vms();
@@ -304,44 +297,33 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
       o.submit_time = members[i].submit_time;
       o.decide_time = decide_time;
       slot[i] = std::move(o);
-      plan.grants.push_back(PlannedGrant{shed.size() + i, members[i].request,
-                                         pl.allocation});
     }
   }
 
   // Ladder fallback (Algorithm 1 rungs) for a singleton window and for
   // members the batch step left behind, in member (dispatch) order.  The
-  // policy is rebuilt per plan (stateless by construction), so concurrent
-  // plans never share mutable placement state.
+  // policy is rebuilt per window, so a seeded policy replays identically.
   std::unique_ptr<placement::PlacementPolicy> policy;
   for (std::size_t i = 0; i < members.size(); ++i) {
     if (slot[i]) continue;
     if (!policy) policy = placement::make_policy(options.policy);
-    placement::LadderPlan lp;
-    if (in_cell) {
-      const util::IntMatrix local = slice_cell(avail);
-      lp = placement::plan_laddered(
-          members[i].request, local, part->cell_topology(cell_id),
-          cell_ctx->capacity_col_sums->at(cell_id), *policy, options.ladder);
-      if (lp.placement) {
-        to_global(*lp.placement);
-      } else if (lp.status == placement::PlacementStatus::kAbandoned ||
-                 lp.status ==
-                     placement::PlacementStatus::kRejectedOverCapacity) {
-        // Spill: the cell cannot hold this member at all — retry against the
-        // full capacity view, so routed serving never refuses a request flat
-        // serving would grant (the exactness net of docs/cells.md).
-        static obs::Counter& window_spills =
-            obs::MetricsRegistry::global().counter("cell/window_spills");
-        window_spills.add();
-        lp = placement::plan_laddered(members[i].request, avail, topology,
-                                      snap.capacity_col_sums, *policy,
-                                      options.ladder);
-      }
-    } else {
-      lp = placement::plan_laddered(members[i].request, avail, topology,
-                                    snap.capacity_col_sums, *policy,
-                                    options.ladder);
+    placement::LadderPlan lp = placement::plan_laddered(
+        members[i].request, avail, topology, col_sums, *policy,
+        options.ladder);
+    bool spilled = false;
+    if (in_cell && !lp.placement &&
+        (lp.status == placement::PlacementStatus::kAbandoned ||
+         lp.status == placement::PlacementStatus::kRejectedOverCapacity)) {
+      // Spill: the cell cannot hold this member at all — retry against the
+      // full remaining capacity, so routed serving never refuses a request
+      // flat serving would grant (the exactness net of docs/cells.md).
+      static obs::Counter& window_spills =
+          obs::MetricsRegistry::global().counter("cell/window_spills");
+      window_spills.add();
+      lp = placement::plan_laddered(members[i].request, cloud.remaining(),
+                                    cloud.topology(), capacity_col_sums,
+                                    *policy, options.ladder);
+      spilled = true;
     }
     Outcome o;
     o.seq = members[i].seq;
@@ -350,12 +332,16 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
     o.trace_id = members[i].trace_id;
     o.kind = kind_from_status(lp.status);
     if (lp.placement) {
+      if (spilled) {
+        // Planned in global ids: grant as is, then re-read the cell's rows
+        // (the spilled allocation may have used some of them).
+        o.lease = cloud.grant(*lp.effective, lp.placement->allocation);
+        avail = slice_cell();
+      } else {
+        o.lease = land(*lp.effective, *lp.placement);
+      }
       o.central = lp.placement->central;
       o.distance = lp.placement->distance;
-      avail -= lp.placement->allocation.counts();
-      plan.grants.push_back(PlannedGrant{shed.size() + i,
-                                         std::move(*lp.effective),
-                                         std::move(lp.placement->allocation)});
     }
     o.requested_vms = lp.requested_vms;
     o.granted_vms = lp.granted_vms;
@@ -369,51 +355,22 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
                     members[i].options.deadline > decide_time)
         << "window " << window_id << " granted seq " << members[i].seq
         << " after its deadline";
-    plan.outcomes.push_back(std::move(*slot[i]));
-  }
-  return plan;
-}
-
-void commit_window(cluster::Cloud& cloud, WindowPlan& plan) {
-  VCOPT_TRACE_SPAN("service/commit_window");
-#if VCOPT_ENABLE_CHECKS
-  const util::IntMatrix before = cloud.remaining();
-#endif
-  for (PlannedGrant& g : plan.grants) {
-    const cluster::LeaseId lease = cloud.grant(g.effective, g.allocation);
-    plan.outcomes[g.outcome_index].lease = lease;
+    outcomes.push_back(std::move(*slot[i]));
   }
 #if VCOPT_ENABLE_CHECKS
   // Batch capacity conservation: what this window debited from the cloud is
   // exactly the sum of the allocations it granted.
   util::IntMatrix granted(before.rows(), before.cols());
-  for (const Outcome& o : plan.outcomes) {
+  for (const Outcome& o : outcomes) {
     if (has_lease(o.kind)) granted += cloud.lease_allocation(o.lease).counts();
   }
   VCOPT_VALIDATE(check::validate_fits(granted, before));
   util::IntMatrix expected = before;
   expected -= granted;
   VCOPT_INVARIANT(expected == cloud.remaining())
-      << "window " << plan.window_id << " broke capacity conservation";
+      << "window " << window_id << " broke capacity conservation";
 #endif
-}
-
-std::vector<Outcome> decide_window(placement::Provisioner& prov,
-                                   cluster::Cloud& cloud,
-                                   const std::vector<PendingEntry>& shed,
-                                   const std::vector<PendingEntry>& members,
-                                   std::uint64_t window_id, double decide_time,
-                                   const ServiceOptions& options,
-                                   const CellPlanContext* cell_ctx) {
-  VCOPT_TRACE_SPAN("service/decide_window");
-  (void)prov;  // placement now flows through the shared pure planner
-  cluster::SnapshotArena arena;
-  const std::shared_ptr<const cluster::CloudSnapshot> snap =
-      arena.build(cloud, /*epoch=*/0, decide_time);
-  WindowPlan plan = plan_window(*snap, shed, members, window_id, decide_time,
-                                options, cell_ctx);
-  commit_window(cloud, plan);
-  return std::move(plan.outcomes);
+  return outcomes;
 }
 
 }  // namespace detail
@@ -422,8 +379,9 @@ PlacementService::PlacementService(cluster::Cloud& cloud,
                                    ServiceOptions options)
     : cloud_(cloud),
       options_(std::move(options)),
-      prov_(cloud, placement::make_policy(options_.policy),
-            options_.discipline) {
+      cap_sums_(detail::capacity_sums(cloud)) {
+  // Windows build their policy per decision; reject a bad spec up front.
+  placement::make_policy(options_.policy);
   if (options_.max_batch == 0) {
     throw std::invalid_argument("PlacementService: max_batch must be > 0");
   }
@@ -482,17 +440,6 @@ PlacementService::PlacementService(cluster::Cloud& cloud,
   wall_epoch_ = std::chrono::steady_clock::now();  // NOLINT(vcopt-wall-clock)
   if (options_.clock == ClockMode::kWall) {
     dispatcher_ = std::thread(&PlacementService::dispatcher_loop, this);
-  }
-  if (pipelined()) {
-    {
-      // Publish the epoch-0 snapshot before any worker can look for one.
-      util::MutexLock lk(mu_);
-      publish_snapshot_locked(/*build_time=*/0.0);
-    }
-    eval_workers_.reserve(options_.eval_threads);
-    for (std::size_t i = 0; i < options_.eval_threads; ++i) {
-      eval_workers_.emplace_back(&PlacementService::eval_loop, this);
-    }
   }
 }
 
@@ -604,7 +551,6 @@ void PlacementService::flush() {
   while (!pending_.empty()) {
     close_window_locked(now, "flush", pending_.front().cell);
   }
-  if (pipelined()) wait_pipeline_drained_locked();
 }
 
 void PlacementService::stop() {
@@ -622,20 +568,6 @@ void PlacementService::stop() {
     while (!pending_.empty()) {
       close_window_locked(now, "flush", pending_.front().cell);
     }
-    if (pipelined()) {
-      // Every closed window must commit before the workers may exit, and
-      // before the accepted-vs-decided ledger below can balance.
-      wait_pipeline_drained_locked();
-      eval_stop_ = true;
-      eval_cv_.notify_all();
-    }
-  }
-  for (std::thread& t : eval_workers_) {
-    if (t.joinable()) t.join();
-  }
-  eval_workers_.clear();
-  {
-    util::MutexLock lk(mu_);
     VCOPT_VALIDATE(check::validate_exact_cover(accepted_seqs_, decided_seqs_,
                                                "service accepted-vs-decided"));
   }
@@ -650,25 +582,14 @@ void PlacementService::stop() {
 
 void PlacementService::release(cluster::LeaseId lease) {
   util::MutexLock lk(mu_);
+  // Validate before journaling: a record for a lease the cloud rejects
+  // would make the journal itself unreplayable.
+  if (!cloud_.has_lease(lease)) {
+    throw std::invalid_argument("PlacementService::release: unknown lease " +
+                                std::to_string(lease));
+  }
   const double now =
       options_.clock == ClockMode::kVirtual ? virtual_now_ : wall_now_locked();
-  if (pipelined()) {
-    // A release is a capacity mutation: it takes a commit ticket at its
-    // position in the call order and applies only at its turn, so the cloud
-    // (and the journal's window/release record order) evolves exactly as
-    // under serial inline dispatch.
-    const std::uint64_t ticket = next_ticket_++;
-    while (current_ticket_ != ticket) commit_cv_.wait(mu_);
-    if (journal_) journal_->release(lease, now);
-    cloud_.release(lease);
-    ++epoch_;
-    publish_snapshot_locked(now);
-    if (sampler_) sampler_->maybe_sample(now);
-    maybe_rebalance_locked(now);
-    ++current_ticket_;
-    commit_cv_.notify_all();
-    return;
-  }
   if (journal_) journal_->release(lease, now);
   cloud_.release(lease);
   if (sampler_) sampler_->maybe_sample(now);
@@ -795,27 +716,6 @@ void PlacementService::close_window_locked(double close_time,
   }
 
   const std::uint64_t window_id = next_window_++;
-
-  if (pipelined()) {
-    // Hand the window to the evaluation pipeline.  The journal record is
-    // written at the commit turn (still write-ahead of its grants), so the
-    // window/release record order stays the serial ticket order.
-    detail::EvalTask task;
-    task.window_id = window_id;
-    task.ticket = next_ticket_++;
-    task.close_time = close_time;
-    task.reason = reason;
-    task.cell = cell;
-    task.shed = std::move(shed);
-    task.members = std::move(members);
-    ++inflight_windows_;
-    eval_queue_.push_back(std::move(task));
-    m.queue_depth.set(static_cast<double>(pending_.size()));
-    m.stage_batch.observe(seconds_since(batch_start));
-    eval_cv_.notify_one();
-    return;
-  }
-
   if (journal_) {
     std::vector<std::uint64_t> member_seqs, shed_seqs;
     member_seqs.reserve(members.size());
@@ -829,28 +729,17 @@ void PlacementService::close_window_locked(double close_time,
 
   const auto solve_start = std::chrono::steady_clock::now();  // NOLINT(vcopt-wall-clock)
   const std::optional<detail::CellPlanContext> ctx = make_cell_ctx(cell);
-  std::vector<Outcome> outcomes = detail::decide_window(
-      prov_, cloud_, shed, members, window_id, close_time, options_,
-      ctx ? &*ctx : nullptr);
+  std::vector<Outcome> outcomes =
+      detail::decide_window(cloud_, shed, members, window_id, close_time,
+                            options_, cap_sums_, ctx ? &*ctx : nullptr);
   m.stage_solve.observe(seconds_since(solve_start));
 
   const auto commit_start = std::chrono::steady_clock::now();  // NOLINT(vcopt-wall-clock)
-  publish_outcomes_locked(shed.size(), members.size(), close_time,
-                          std::move(outcomes));
-  maybe_rebalance_locked(close_time);
-  m.stage_commit.observe(seconds_since(commit_start));
-}
-
-void PlacementService::publish_outcomes_locked(std::size_t shed_count,
-                                               std::size_t member_count,
-                                               double sample_time,
-                                               std::vector<Outcome> outcomes) {
-  auto& m = ServiceMetrics::get();
   ++stats_.windows;
-  stats_.deadline_missed += shed_count;
+  stats_.deadline_missed += shed.size();
   m.windows.add();
-  m.deadline_miss.add(shed_count);
-  m.batch_size.observe(static_cast<double>(member_count));
+  m.deadline_miss.add(shed.size());
+  m.batch_size.observe(static_cast<double>(members.size()));
   for (Outcome& o : outcomes) {
     const double latency = o.decide_time - o.submit_time;
     m.latency.observe(latency);
@@ -868,8 +757,10 @@ void PlacementService::publish_outcomes_locked(std::size_t shed_count,
     decided_.emplace(o.seq, std::move(o));
   }
   m.queue_depth.set(static_cast<double>(pending_.size()));
-  if (sampler_) sampler_->maybe_sample(sample_time);
+  if (sampler_) sampler_->maybe_sample(close_time);
   decided_cv_.notify_all();
+  maybe_rebalance_locked(close_time);
+  m.stage_commit.observe(seconds_since(commit_start));
 }
 
 void PlacementService::maybe_rebalance_locked(double t) {
@@ -940,112 +831,8 @@ void PlacementService::maybe_rebalance_locked(double t) {
   if (committed > 0) {
     ++stats_.rebalance_passes;
     stats_.rebalance_migrations += committed;
-    if (pipelined()) {
-      // Capacity moved: later plans must read post-migration capacity.
-      ++epoch_;
-      publish_snapshot_locked(t);
-    }
   }
   if (sampler_) sampler_->maybe_sample(t);
-}
-
-void PlacementService::publish_snapshot_locked(double build_time) {
-  snap_.store(snapshot_arena_.build(cloud_, epoch_, build_time),
-              std::memory_order_release);
-  ++stats_.snapshot_builds;
-  ServiceMetrics::get().snapshot_builds.add();
-}
-
-void PlacementService::commit_task_locked(const detail::EvalTask& task,
-                                          detail::WindowPlan& plan) {
-  auto& m = ServiceMetrics::get();
-  const auto commit_start = std::chrono::steady_clock::now();  // NOLINT(vcopt-wall-clock)
-  if (journal_) {
-    std::vector<std::uint64_t> member_seqs, shed_seqs;
-    member_seqs.reserve(task.members.size());
-    shed_seqs.reserve(task.shed.size());
-    for (const PendingEntry& e : task.members) member_seqs.push_back(e.seq);
-    for (const PendingEntry& e : task.shed) shed_seqs.push_back(e.seq);
-    journal_->window(task.window_id, task.close_time, task.reason, member_seqs,
-                     shed_seqs, task.cell);
-  }
-  detail::commit_window(cloud_, plan);
-  if (!plan.grants.empty()) {
-    // Capacity changed: advance the epoch and republish, so later plans read
-    // post-commit capacity (a no-grant window leaves both untouched — the
-    // published snapshot stays valid and conflict-free).
-    ++epoch_;
-    publish_snapshot_locked(task.close_time);
-  }
-  publish_outcomes_locked(task.shed.size(), task.members.size(),
-                          task.close_time, std::move(plan.outcomes));
-  // Same logical instant as the serial path's post-window rebalance: this
-  // thread still holds the commit ticket, so the pass (and its journal
-  // record) lands between this window and the next capacity event.
-  maybe_rebalance_locked(task.close_time);
-  ++current_ticket_;
-  VCOPT_DCHECK(inflight_windows_ > 0);
-  --inflight_windows_;
-  commit_cv_.notify_all();
-  m.stage_commit.observe(seconds_since(commit_start));
-}
-
-void PlacementService::wait_pipeline_drained_locked() {
-  while (inflight_windows_ > 0) commit_cv_.wait(mu_);
-}
-
-void PlacementService::eval_loop() {
-  auto& m = ServiceMetrics::get();
-  for (;;) {
-    detail::EvalTask task;
-    {
-      util::MutexLock lk(mu_);
-      while (!eval_stop_ && eval_queue_.empty()) eval_cv_.wait(mu_);
-      if (eval_queue_.empty()) return;  // eval_stop_ and fully drained
-      task = std::move(eval_queue_.front());
-      eval_queue_.pop_front();
-      ++stats_.snapshot_reuses;
-    }
-    // Lock-free read of the published snapshot: admission/journaling proceed
-    // under mu_ while this thread plans.
-    std::shared_ptr<const cluster::CloudSnapshot> snap =
-        snap_.load(std::memory_order_acquire);
-    m.snapshot_reuses.add();
-    m.snapshot_age.set(task.close_time - snap->build_time);
-    // Ctor-set immutable cell state — safe to read without mu_.
-    const std::optional<detail::CellPlanContext> ctx = make_cell_ctx(task.cell);
-    const detail::CellPlanContext* ctx_ptr = ctx ? &*ctx : nullptr;
-    const auto solve_start = std::chrono::steady_clock::now();  // NOLINT(vcopt-wall-clock)
-    detail::WindowPlan plan =
-        detail::plan_window(*snap, task.shed, task.members, task.window_id,
-                            task.close_time, options_, ctx_ptr);
-    m.stage_solve.observe(seconds_since(solve_start));
-    for (;;) {
-      bool committed = false;
-      {
-        util::MutexLock lk(mu_);
-        while (current_ticket_ != task.ticket) commit_cv_.wait(mu_);
-        if (plan.base_epoch == epoch_) {
-          commit_task_locked(task, plan);
-          committed = true;
-        } else {
-          // Stale plan: capacity moved since the snapshot this plan read.
-          // Publish a fresh snapshot for the current epoch and re-plan
-          // against it outside the lock.  Only the ticket holder and
-          // ticketed releases mutate capacity, so the epoch cannot move
-          // again before this task's next commit attempt.
-          ++stats_.snapshot_conflicts;
-          m.snapshot_conflicts.add();
-          publish_snapshot_locked(task.close_time);
-          snap = snap_.load(std::memory_order_acquire);
-        }
-      }
-      if (committed) break;
-      plan = detail::plan_window(*snap, task.shed, task.members,
-                                 task.window_id, task.close_time, options_,
-                                 ctx_ptr);
-    }
-  }
 }
 
 void PlacementService::dispatcher_loop() {

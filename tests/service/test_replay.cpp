@@ -156,5 +156,33 @@ TEST(Replay, DuplicateSubmitSeqIsRejected) {
                std::invalid_argument);
 }
 
+TEST(Replay, UnknownReleaseThrowsAndLeavesJournalReplayable) {
+  const auto scenario = workload::paper_sim_scenario(2);
+  ServiceOptions options;
+  options.max_batch = 4;
+  options.clock = ClockMode::kVirtual;
+  Cloud cloud = scenario_cloud(scenario);
+  std::ostringstream journal;
+  options.journal = &journal;
+  std::vector<Outcome> outcomes;
+  {
+    PlacementService svc(cloud, options);
+    for (const Request& r : scenario.requests) svc.submit(r);
+    svc.flush();
+    outcomes = svc.take_outcomes();
+    EXPECT_THROW(svc.release(999), std::invalid_argument);
+    svc.stop();
+  }
+  EXPECT_EQ(journal.str().find("\"release\""), std::string::npos)
+      << "a rejected release reached the journal";
+
+  Cloud fresh = scenario_cloud(scenario);
+  std::istringstream in(journal.str());
+  const ReplayResult replayed =
+      replay_journal(parse_journal(in), fresh, options);
+  EXPECT_EQ(replayed.grants, grant_stream(std::move(outcomes)));
+  EXPECT_EQ(fresh.remaining(), cloud.remaining());
+}
+
 }  // namespace
 }  // namespace vcopt::service
